@@ -100,16 +100,10 @@ type objSnapshot struct {
 // writes are not retried — see DESIGN.md).
 type invSnapshot []objSnapshot
 
-// snapshotParams records each distinct parameter object's flags and tags.
-// Callers hold the objects' parameter locks.
-func snapshotParams(objs []*interp.Object) invSnapshot {
-	snap := make(invSnapshot, 0, len(objs))
-	seen := map[*interp.Object]bool{}
+// snapshotParams appends each parameter object's flags and tags to snap.
+// objs is the invocation's deduplicated lock set; callers hold the locks.
+func snapshotParams(snap invSnapshot, objs []*interp.Object) invSnapshot {
 	for _, o := range objs {
-		if seen[o] {
-			continue
-		}
-		seen[o] = true
 		snap = append(snap, objSnapshot{obj: o, flags: o.Flags(), tags: o.Tags()})
 	}
 	return snap

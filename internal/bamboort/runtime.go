@@ -51,10 +51,10 @@ func StateOf(o *interp.Object) depend.State {
 }
 
 // ObjSatisfies is StateOf(o).SatisfiesParam(p) without materializing the
-// abstract state. It runs on the engines' delivery and pruning paths —
-// once per queued object per drain step — where the map-backed State is
-// pure allocation churn. The quadratic scans are over an object's tag
-// list and a parameter's tag guards, both tiny in practice.
+// abstract state. The engines match through guards compiled once per
+// hosted task (paramGuard); this uncompiled form is their reference. The
+// quadratic scans are over an object's tag list and a parameter's tag
+// guards, both tiny in practice.
 func ObjSatisfies(o *interp.Object, p *types.TaskParam) bool {
 	if !depend.GuardSatisfied(p.Guard, o.Flags(), p.Class) {
 		return false
@@ -95,46 +95,10 @@ func ObjSatisfies(o *interp.Object, p *types.TaskParam) bool {
 	return true
 }
 
-// StateMatches reports whether o's current abstract state equals s — the
-// allocation-free form of StateOf(o).Key() == s.Key(), used to detect
-// whether a task left a parameter's abstract state unchanged.
-func StateMatches(s depend.State, o *interp.Object) bool {
-	if s.Flags != o.Flags() {
-		return false
-	}
-	tags := o.Tags()
-	distinct := 0
-	for i, t := range tags {
-		dup := false
-		for j := 0; j < i; j++ {
-			if tags[j].Type == t.Type {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		distinct++
-		c := depend.TagOne
-		for j := i + 1; j < len(tags); j++ {
-			if tags[j].Type == t.Type {
-				c = depend.TagMany
-				break
-			}
-		}
-		if s.Tags[t.Type] != c {
-			return false
-		}
-	}
-	return distinct == len(s.Tags)
-}
-
-// appendTagEntries appends o's distinct tag types with 1-limited counts
-// to buf in ascending type order (insertion sort — objects carry a
-// handful of tags at most) and returns it.
-func appendTagEntries(buf []depend.TagEntry, o *interp.Object) []depend.TagEntry {
-	tags := o.Tags()
+// appendTagEntries appends the distinct tag types of a tag binding list
+// with 1-limited counts to buf in ascending type order (insertion sort —
+// objects carry a handful of tags at most) and returns it.
+func appendTagEntries(buf []depend.TagEntry, tags []*interp.Tag) []depend.TagEntry {
 	for i, t := range tags {
 		dup := false
 		for j := 0; j < i; j++ {
@@ -168,7 +132,7 @@ func appendTagEntries(buf []depend.TagEntry, o *interp.Object) []depend.TagEntry
 // key built into caller-owned scratch buffers; it returns the consumers
 // plus the (possibly grown) buffers for reuse.
 func consumersOf(dep *depend.Result, obj *interp.Object, tagBuf []depend.TagEntry, keyBuf []byte) ([]depend.ParamRef, []depend.TagEntry, []byte) {
-	tagBuf = appendTagEntries(tagBuf[:0], obj)
+	tagBuf = appendTagEntries(tagBuf[:0], obj.Tags())
 	keyBuf = depend.AppendConsumerKey(keyBuf[:0], obj.Class.Name, obj.Flags(), tagBuf)
 	return dep.ConsumersByKey(keyBuf), tagBuf, keyBuf
 }
@@ -238,6 +202,23 @@ func SpreadLayout(prog *ir.Program, n int) *layout.Layout {
 		next++
 	}
 	return l
+}
+
+// rrKey keys the engines' round-robin counters: the sending core (-1 for
+// the environment) and the consuming task.
+type rrKey struct {
+	from int
+	task string
+}
+
+// commonTagTypes maps every task of prog to its CommonTagType, computed
+// once per engine instead of on every routed object.
+func commonTagTypes(prog *ir.Program) map[*types.Task]string {
+	m := make(map[*types.Task]string, len(prog.Tasks))
+	for _, fn := range prog.Tasks {
+		m[fn.Task] = CommonTagType(fn.Task)
+	}
+	return m
 }
 
 // CommonTagType returns the tag type of the common tag variable, or "".

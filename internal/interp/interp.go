@@ -41,6 +41,9 @@ type Exec struct {
 	// fs is the register stack for nested calls, owned by run() for the
 	// duration of one invocation.
 	fs *frameStack
+	// out, when non-nil, collects the invocation's program output instead
+	// of writing it through (RunTaskBuffered).
+	out *[]byte
 }
 
 // Interp executes Bamboo IR. One Interp may be shared across goroutines
@@ -194,18 +197,39 @@ func (in *Interp) Stats() DispatchStats {
 // variable (Func.TagParams order). Flag and tag actions of the taken
 // taskexit are applied to the parameter objects before returning.
 func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
+	return in.RunTaskBuffered(fn, params, nil)
+}
+
+// RunTaskBuffered is RunTask with the invocation's program output (when
+// out is non-nil) appended to *out instead of written to Out, so the
+// caller can publish it in one piece when the invocation commits
+// (WriteOutput) or drop it when the attempt fails. Output cycles are
+// charged exactly as RunTask charges them.
+func (in *Interp) RunTaskBuffered(fn *ir.Func, params []Value, out *[]byte) (*Exec, error) {
 	if !fn.IsTask {
 		return nil, fmt.Errorf("interp: %s is not a task", fn.Name)
 	}
 	if len(params) != fn.NumParams {
 		return nil, fmt.Errorf("interp: task %s expects %d parameters, got %d", fn.Name, fn.NumParams, len(params))
 	}
-	ex := &Exec{ExitID: -1}
+	ex := &Exec{ExitID: -1, out: out}
 	_, err := in.run(fn, params, ex)
 	if err != nil {
 		return nil, err
 	}
 	return ex, nil
+}
+
+// WriteOutput writes one committed invocation's buffered output to Out in
+// a single write, so output from tasks running at the same time never
+// interleaves within an invocation.
+func (in *Interp) WriteOutput(b []byte) {
+	if in.Out == nil || len(b) == 0 {
+		return
+	}
+	in.outMu.Lock()
+	defer in.outMu.Unlock()
+	in.Out.Write(b)
 }
 
 // CallMethod executes a plain method for testing and sequential baselines.
@@ -679,6 +703,10 @@ func toF(v Value) float64 {
 func (in *Interp) print(s string, ex *Exec) {
 	ex.Cycles += in.Cost.PrintPerChar * int64(len(s))
 	if in.Out == nil {
+		return
+	}
+	if ex.out != nil {
+		*ex.out = append(*ex.out, s...)
 		return
 	}
 	in.outMu.Lock()

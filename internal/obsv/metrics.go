@@ -68,6 +68,15 @@ type Metrics struct {
 	FusedInstrs      atomic.Int64
 	ArenaReusedBytes atomic.Int64
 
+	// Guard-matching work on both engines, added once per candidate
+	// assembly: DispatchAttempts counts assemblies (one per hosted task a
+	// scheduler scan visits), EntriesScanned the parameter-set entries
+	// those assemblies examined, and StaleDropped the entries they removed
+	// because the object no longer satisfied the parameter's guard.
+	DispatchAttempts atomic.Int64
+	EntriesScanned   atomic.Int64
+	StaleDropped     atomic.Int64
+
 	mu       sync.Mutex
 	objSkips map[int64]int64 // object ID -> contention skips
 }
@@ -147,6 +156,9 @@ type MetricsSnapshot struct {
 	FlatInstrs       int64           `json:"flat_instrs"`
 	FusedInstrs      int64           `json:"fused_instrs"`
 	ArenaReusedBytes int64           `json:"arena_reused_bytes"`
+	DispatchAttempts int64           `json:"dispatch_attempts"`
+	EntriesScanned   int64           `json:"entries_scanned"`
+	StaleDropped     int64           `json:"stale_dropped"`
 	TopContended     []ObjContention `json:"top_contended,omitempty"`
 }
 
@@ -176,6 +188,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		FlatInstrs:       m.FlatInstrs.Load(),
 		FusedInstrs:      m.FusedInstrs.Load(),
 		ArenaReusedBytes: m.ArenaReusedBytes.Load(),
+		DispatchAttempts: m.DispatchAttempts.Load(),
+		EntriesScanned:   m.EntriesScanned.Load(),
+		StaleDropped:     m.StaleDropped.Load(),
 		TopContended:     m.TopContended(10),
 	}
 }

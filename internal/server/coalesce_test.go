@@ -272,8 +272,9 @@ func serveFeed(t testing.TB, h http.Handler, id string, payload []byte) {
 
 // TestSessionFeedAllocs is the alloc-regression gate on the session feed
 // hot path: decode, enqueue, claim, inject, run, demux, encode. The
-// ceiling is ~2x the measured steady state so real regressions (a fresh
-// envelope or inject slice per request creeping back in) trip it while
+// ceiling is the measured steady state plus ~50% so real regressions (a
+// fresh envelope or inject slice per request, or a per-dispatch
+// allocation in guard matching, creeping back in) trip it while
 // run-to-run jitter does not.
 func TestSessionFeedAllocs(t *testing.T) {
 	s := newTestService(t, server.Config{})
@@ -286,10 +287,11 @@ func TestSessionFeedAllocs(t *testing.T) {
 		serveFeed(t, h, sv.ID, payload)
 	})
 	t.Logf("session feed: %.1f allocs/op", avg)
-	// Measured 104.0 on the seed machine (down from 301 before the
-	// coalescing/arena/routing-path pass); the slack absorbs Go version
-	// and map-layout drift, not regressions.
-	const ceiling = 160
+	// Measured 73.0 with Go 1.24 (104 before guard matching stopped
+	// allocating per dispatch, 301 before the coalescing/arena/routing-path
+	// pass); the slack absorbs Go version and map-layout drift, not
+	// regressions.
+	const ceiling = 110
 	if avg > ceiling {
 		t.Errorf("session feed allocates %.1f objects/op, ceiling %d", avg, ceiling)
 	}

@@ -528,8 +528,8 @@ func (s *Server) resolve(req *SubmitRequest) (*Job, error) {
 	}
 	// Every job carries a metrics sink: both engines report interpreter
 	// dispatch statistics (superinstruction coverage, inline-cache hit
-	// rates, arena reuse), and the concurrent engine adds its scheduler
-	// and lock counters on top.
+	// rates, arena reuse) and guard-matching work, and the concurrent
+	// engine adds its scheduler and lock counters on top.
 	j.metrics = &obsv.Metrics{}
 	return j, nil
 }
@@ -712,6 +712,9 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	a.FlatInstrs += m.FlatInstrs
 	a.FusedInstrs += m.FusedInstrs
 	a.ArenaReusedBytes += m.ArenaReusedBytes
+	a.DispatchAttempts += m.DispatchAttempts
+	a.EntriesScanned += m.EntriesScanned
+	a.StaleDropped += m.StaleDropped
 }
 
 // ---- handlers ----
@@ -930,9 +933,10 @@ type Varz struct {
 	LatencyNS LatencyStats     `json:"latency_ns"`
 	// Runtime sums the runtime counters over every finished job:
 	// interpreter dispatch statistics (superinstruction coverage,
-	// inline-cache hits/misses, arena reuse) from both engines, plus the
-	// concurrent engine's scheduler/lock counters (steals, retries,
-	// rollbacks, ...).
+	// inline-cache hits/misses, arena reuse) and guard-matching work
+	// (dispatch attempts, parameter-set entries scanned, stale entries
+	// dropped) from both engines, plus the concurrent engine's
+	// scheduler/lock counters (steals, retries, rollbacks, ...).
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`
 	// WAL reports the durability layer (nil when no WALDir is set).
 	WAL *WALView `json:"wal,omitempty"`

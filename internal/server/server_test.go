@@ -389,6 +389,10 @@ func TestHealthzAndVarz(t *testing.T) {
 	if lat.Count != 3 || lat.P50 <= 0 || lat.P50 > lat.P95 || lat.P95 > lat.P99 {
 		t.Errorf("varz latency = %+v", lat)
 	}
+	if rc := varz.Runtime; rc.DispatchAttempts == 0 || rc.EntriesScanned == 0 {
+		t.Errorf("varz matching counters: %d dispatch attempts, %d entries scanned; want both > 0",
+			rc.DispatchAttempts, rc.EntriesScanned)
+	}
 }
 
 // TestGracefulDrain: accepted work survives a drain, new work is turned
